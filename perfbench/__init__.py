@@ -1,0 +1,6 @@
+"""Repository benchmark for the Waterwheel reproduction.
+
+Run one workload with ``python3 perfbench/run.py --workload <name> --seed
+<n> --seconds <s> --trace <0|1>`` from the repository root; see
+``perfbench/spec.json`` for what each workload loads and measures.
+"""
